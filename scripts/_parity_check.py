@@ -3,8 +3,7 @@
 Not part of the test suite (tests/test_batch_engine.py covers this); kept
 as a standalone driver for kernel debugging:
 
-    PYTHONPATH=src python scripts/_parity_check.py            # C kernel
-    REPRO_BATCH_CKERNEL=0 PYTHONPATH=src python scripts/_parity_check.py
+    PYTHONPATH=src python scripts/_parity_check.py
 """
 
 import os

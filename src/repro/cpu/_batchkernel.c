@@ -1,10 +1,10 @@
-/* C twin of the pure-Python cycle kernel in _batchkernel.py.
+/* Cycle kernel of the batch simulation engine (repro.cpu.batch).
  *
  * Compiled on demand by repro.cpu._batchkernel.get_kernel() with the
  * system C compiler (cc -O2 -shared -fPIC) and loaded via ctypes; it
- * must stay a line-for-line transcription of advance_cell() — the
- * Python kernel is the executable specification, and the test suite
- * runs both against the inline simulator's golden numbers.
+ * must stay a transcription of the inline Simulator.run() cycle loop in
+ * repro/cpu/pipeline.py — the inline simulator is the specification,
+ * and the test suite runs this kernel against its golden numbers.
  *
  * Return codes: 0 done, 1 horizon reached, 2 deadlock, 3 ring overflow.
  */

@@ -14,8 +14,9 @@ numbers are computed:
 ``batch``
     The lockstep many-cells-per-trace engine (:mod:`repro.cpu.batch`).
     Requires numpy; precomputes branch/memory profiles and steps the
-    cycle loop in a compiled kernel, falling back per-cell to ``inline``
-    whenever a cell is not vectorizable.
+    cycle loop in a compiled C kernel, falling back per-cell to
+    ``inline`` whenever a cell is not vectorizable (every cell, when no
+    C compiler can build the kernel).
 
 Selection, in precedence order: the ``simulate(..., engine=)`` kwarg,
 the ``REPRO_SIM_ENGINE`` environment variable, else ``inline``.

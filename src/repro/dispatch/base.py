@@ -87,6 +87,12 @@ def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
 
 
 def _env_int(name: str, default: int, minimum: int = 1) -> int:
+    """An integer environment override, degrading to ``default``.
+
+    A malformed value (``REPRO_JOBS=auto``) warns once and the default
+    wins, instead of raising a bare ``ValueError`` (at *import* time for
+    ``REPRO_WALK_BLOCKS``).
+    """
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default

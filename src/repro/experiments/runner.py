@@ -35,7 +35,6 @@ import json
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,6 +48,7 @@ from repro.dispatch import (
     TaskResult,
     TaskSpec,
 )
+from repro.dispatch.base import _env_int
 from repro.telemetry.manifest import record_run
 from repro.compiler import PassManager
 from repro.cpu import CpuConfig, GOOGLE_TABLET, SimStats, simulate
@@ -68,28 +68,6 @@ from repro.workloads import (
     build_workload,
     get_profile,
 )
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    """An integer environment override, degrading to ``default``.
-
-    A malformed value (``REPRO_JOBS=auto``) used to raise a bare
-    ``ValueError`` — at *import* time for ``REPRO_WALK_BLOCKS``; now it
-    warns once and the default wins.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r} (not an integer); "
-            f"using {default}",
-            RuntimeWarning, stacklevel=2,
-        )
-        return default
-    return max(minimum, value)
-
 
 #: Dynamic block budget for generated walks (env-overridable).
 DEFAULT_WALK_BLOCKS = _env_int("REPRO_WALK_BLOCKS", 700)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
@@ -69,15 +70,26 @@ class Registry:
         self._providers = providers
         self._entries: Dict[str, RegistryEntry] = {}
         self._loaded = not providers
+        self._loading = False
+        self._load_lock = threading.RLock()
 
     # -- population ----------------------------------------------------------
 
     def _ensure_providers(self) -> None:
+        """Import the providers once; a concurrent first lookup on another
+        thread waits until they are all imported."""
         if self._loaded:
             return
-        self._loaded = True  # set first: providers may look themselves up
-        for module in self._providers:
-            importlib.import_module(module)
+        with self._load_lock:
+            if self._loaded or self._loading:
+                return  # done meanwhile, or a provider looking itself up
+            self._loading = True
+            try:
+                for module in self._providers:
+                    importlib.import_module(module)
+                self._loaded = True
+            finally:
+                self._loading = False
 
     def register(self, name: str, obj: Any = None, *, version: int = 1,
                  overwrite: bool = False) -> Any:

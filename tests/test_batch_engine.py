@@ -15,6 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.cache import reset_cache
+from repro.cpu import _batchkernel as bk
 from repro.cpu import batch as batch_mod
 from repro.cpu import pipeline
 from repro.cpu.batch import last_batch_report, simulate_batch
@@ -74,15 +75,6 @@ class TestBitIdentity:
         assert report["width"] == len(configs)
         assert report["fast"] == len(configs)
         assert report["fallbacks"] == []
-
-    def test_python_kernel_matches_selected_kernel(self, monkeypatch):
-        trace = _fresh_trace()
-        configs = [GOOGLE_TABLET, config_efetch()]
-        default = [s.to_dict() for s in simulate_batch(trace, configs)]
-        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "py")
-        forced = simulate_batch(trace, configs)
-        assert last_batch_report()["kernel"] == "py"
-        assert [s.to_dict() for s in forced] == default
 
     def test_batch_counts_telemetry(self):
         trace = _fresh_trace()
@@ -215,6 +207,25 @@ class TestFallbacks:
             [(GOOGLE_TABLET.name, "cold-start")]
         assert batch.to_dict() == \
             _inline(trace, GOOGLE_TABLET, warm=False).to_dict()
+
+    def test_no_c_compiler_runs_every_cell_inline(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_BATCH_KERNEL_DIR", str(tmp_path / "kdir"))
+        monkeypatch.setattr(bk, "_ckernel", False)
+        assert bk.get_kernel() == ("none", None)
+        trace = _fresh_trace()
+        configs = [GOOGLE_TABLET, config_efetch(), config_perfect_br()]
+        batch = simulate_batch(trace, configs)
+        for config, stats in zip(configs, batch):
+            assert stats.to_dict() == _inline(trace, config).to_dict(), \
+                config.name
+        report = last_batch_report()
+        assert report["kernel"] == "none"
+        assert report["fast"] == 0
+        assert report["fallbacks"] == \
+            [(config.name, "no C kernel") for config in configs]
+        assert trace not in batch_mod._profiles  # no profile built for nothing
 
     def test_load_observing_prefetcher_falls_back(self):
         trace = _fresh_trace()

@@ -1,7 +1,15 @@
 """Unit tests for the component registry core and the built-in registries."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import uuid
+
 import pytest
 
+import repro
 from repro.cpu import GOOGLE_TABLET
 from repro.registry import (
     BRANCH_PREDICTORS,
@@ -117,6 +125,68 @@ class TestRegistryCore:
         assert reg.create("pair", 5, b=7) == (5, 7)
 
 
+def _provider_pair(tmp_path, monkeypatch, body):
+    """A fresh registry (in module ``holder``) whose one provider module
+    runs ``body`` at import time; returns the registry."""
+    tag = uuid.uuid4().hex[:8]
+    holder, provider = f"reg_holder_{tag}", f"reg_provider_{tag}"
+    (tmp_path / f"{holder}.py").write_text(
+        "from repro.registry.core import Registry\n"
+        f"REG = Registry('widget', providers=({provider!r},))\n")
+    (tmp_path / f"{provider}.py").write_text(
+        f"from {holder} import REG\n" + textwrap.dedent(body))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in (holder, provider):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    module = __import__(holder)
+    return module.REG
+
+
+class TestProviderLoading:
+    def test_concurrent_first_lookup_waits_for_slow_provider(
+            self, tmp_path, monkeypatch):
+        reg = _provider_pair(tmp_path, monkeypatch, """
+            import time
+            time.sleep(0.3)
+            REG.register("lru", "policy")
+        """)
+        threads = 4
+        barrier = threading.Barrier(threads)
+        found, errors = [], []
+
+        def lookup():
+            barrier.wait()
+            try:
+                found.append(reg.get("lru"))
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=lookup) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert found == ["policy"] * threads
+
+    def test_provider_may_look_itself_up_while_loading(
+            self, tmp_path, monkeypatch):
+        reg = _provider_pair(tmp_path, monkeypatch, """
+            REG.register("alpha", "a")
+            SEEN = REG.names()
+            REG.register("beta", "b")
+        """)
+        assert reg.names() == ("alpha", "beta")
+        provider = reg._providers[0]
+        assert sys.modules[provider].SEEN == ("alpha",)
+
+
 class TestBuiltinRegistries:
     def test_scheme_canonical_order(self):
         names = SCHEME_RECIPES.names()
@@ -124,6 +194,25 @@ class TestBuiltinRegistries:
             "baseline", "hoist", "critic", "critic_ideal",
             "branch", "opp16", "compress", "opp16_critic",
         )
+
+    def test_runner_schemes_complete_after_registry_loads_first(self):
+        """A scheme lookup before the runner is imported loads the
+        provider without importing the runner halfway through it."""
+        code = (
+            "from repro.registry import SCHEME_RECIPES\n"
+            "SCHEME_RECIPES.names()\n"
+            "from repro.experiments.runner import SCHEMES\n"
+            "assert SCHEMES == SCHEME_RECIPES.names(), SCHEMES\n"
+            "assert len(SCHEMES) == 8, SCHEMES\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_runner_schemes_mirror_registry(self):
         from repro.experiments.runner import SCHEMES

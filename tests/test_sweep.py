@@ -1,7 +1,12 @@
 """Tests for the declarative sweep engine and its CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cache import reset_cache
 from repro.experiments.runner import clear_cache
 from repro.experiments.sweep import (
@@ -234,6 +239,17 @@ class TestRunSweep:
 
 
 class TestCli:
+    def test_module_entry_point_does_not_warn(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.sweep", "--help"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_csv_parsing(self):
         args = build_parser().parse_args(
             ["--apps", "Music, Email", "--schemes", "baseline"])

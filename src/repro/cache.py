@@ -33,6 +33,20 @@ and is recorded in run manifests for provenance — but never enters
 ``config_hash``: *where* an artifact came from cannot change *what* it
 is (keys are content addresses).
 
+Traces are stored in the columnar ``# repro-trace v2`` format of
+:mod:`repro.trace.trace_io`: a JSON table of the distinct static
+instructions plus one packed base64 column per entry field (static
+index, pc, memory address, branch outcome, and ``seq`` unless it is
+dense), sealed by a CRC-32 trailer.  A warm load rebuilds each static
+``Instruction`` once instead of re-parsing an assembly line per dynamic
+instruction.  :meth:`ArtifactCache.load_trace` picks the reader from
+the blob's first line rather than from the key, so v1 text artifacts
+written under the same keys by earlier code still load: the format
+change needs no :data:`SCHEMA_VERSION` bump and no backend change
+(blobs stay ASCII text).  The ``cache.encode_trace`` and
+``cache.decode_trace`` phases time the formatting apart from the IO in
+``cache.store_trace``/``cache.load_trace``.
+
 Invalidation is structural: any change to the parameter record changes
 the key, and incompatible changes to the *artifact formats or the
 pipeline semantics themselves* are handled by bumping
@@ -49,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import socket
@@ -64,7 +77,7 @@ from repro import telemetry
 from repro.cpu.stats import SimStats
 from repro.profiler.profile_table import CriticProfile
 from repro.trace.dynamic import Trace
-from repro.trace.trace_io import dump_trace, load_trace
+from repro.trace.trace_io import decode_artifact, encode_columnar
 
 #: Bump on any change that invalidates previously stored artifacts
 #: (trace format, generator semantics, simulator accounting, ...).
@@ -531,23 +544,27 @@ class ArtifactCache:
     # -- typed artifacts -----------------------------------------------------
 
     def load_trace(self, key: str) -> Optional[Trace]:
-        text = self._read("trace", key)
-        if text is None:
-            return None
+        """Load a trace in either format (the reader follows the blob's
+        header line, so v1 text artifacts still load)."""
         with telemetry.phase("cache.load_trace"):
+            text = self._read("trace", key)
+            if text is None:
+                return None
             try:
-                return load_trace(io.StringIO(text))
+                with telemetry.phase("cache.decode_trace"):
+                    return decode_artifact(text)
             except ValueError:
                 self._corrupt("trace", key)
                 return None  # torn/stale artifact: treat as a miss
 
     def store_trace(self, key: str, trace: Trace) -> None:
+        """Store ``trace`` in the columnar v2 format."""
         if not self.enabled:
             return
         with telemetry.phase("cache.store_trace"):
-            buf = io.StringIO()
-            dump_trace(trace, buf)
-            self._write("trace", key, buf.getvalue())
+            with telemetry.phase("cache.encode_trace"):
+                text = encode_columnar(trace)
+            self._write("trace", key, text)
 
     def load_profile(self, key: str) -> Optional[CriticProfile]:
         text = self._read("critic_profile", key)

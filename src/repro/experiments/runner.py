@@ -271,6 +271,16 @@ class AppContext:
                                   profiled_fraction)
         if stats is not None:
             return stats
+        return self.compute_stats(scheme, config, max_length,
+                                  profiled_fraction, engine)
+
+    def compute_stats(self, scheme: str = "baseline",
+                      config: CpuConfig = GOOGLE_TABLET,
+                      max_length: int = 5,
+                      profiled_fraction: float = 1.0,
+                      engine: Optional[str] = None) -> SimStats:
+        """Simulate and store a cell without probing the stats cache —
+        for callers (the sweep's cell tasks) that already probed it."""
         trace = self.scheme_trace(scheme, max_length, profiled_fraction)
         with telemetry.phase("simulate"):
             stats = simulate(trace, config, engine=engine)
@@ -333,14 +343,17 @@ def _run_cell(name: str, blocks: int, schemes: Tuple[str, ...],
               config: CpuConfig, engine: Optional[str] = None,
               workload_family: str = "default",
               ) -> Tuple[str, str, Dict[str, SimStats]]:
-    """Worker body: compute all ``schemes`` for one app x config cell."""
+    """Worker body: compute all ``schemes`` for one app x config cell.
+
+    The caller's probe already missed the stats cache for every scheme,
+    so the cell computes without a second lookup."""
     ctx = app_context(name, blocks, workload_family)
     cell: Dict[str, SimStats] = {}
     for scheme in schemes:
         telemetry.emit("sweep.cell.start", app=name, scheme=scheme,
                        config=config.name)
         started = time.perf_counter()
-        stats = ctx.stats(scheme, config, engine=engine)
+        stats = ctx.compute_stats(scheme, config, engine=engine)
         _observe_cell(name, scheme, config.name, stats,
                       time.perf_counter() - started)
         cell[scheme] = stats

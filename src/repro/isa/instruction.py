@@ -10,7 +10,7 @@ instruction's encoding (32-bit ARM vs 16-bit Thumb).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.isa.condition import Cond
@@ -127,11 +127,15 @@ class Instruction:
 
     def with_encoding(self, encoding: Encoding) -> "Instruction":
         """Return a copy re-encoded as ``encoding``."""
-        return replace(self, encoding=encoding)
+        return Instruction(self.opcode, self.dests, self.srcs, self.imm,
+                           self.cond, self.target, encoding,
+                           self.cdp_cover, self.uid)
 
     def with_uid(self, uid: int) -> "Instruction":
         """Return a copy with a new uid (used by program builders)."""
-        return replace(self, uid=uid)
+        return Instruction(self.opcode, self.dests, self.srcs, self.imm,
+                           self.cond, self.target, self.encoding,
+                           self.cdp_cover, uid)
 
     # -- rendering ----------------------------------------------------------
 

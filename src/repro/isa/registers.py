@@ -33,6 +33,10 @@ THUMB_REGISTERS: Tuple[int, ...] = tuple(range(NUM_THUMB_REGISTERS))
 
 _SPECIAL_NAMES = {SP: "SP", LR: "LR", PC: "PC"}
 
+#: Assembler name per register index, for the in-range ``int`` fast paths.
+_NAMES: Tuple[str, ...] = tuple(
+    _SPECIAL_NAMES.get(reg, f"R{reg}") for reg in range(NUM_REGISTERS))
+
 
 def register_name(reg: int) -> str:
     """Return the assembler name for register index ``reg`` (e.g. ``"R3"``).
@@ -42,6 +46,8 @@ def register_name(reg: int) -> str:
     Raises:
         ValueError: if ``reg`` is not a valid register index.
     """
+    if type(reg) is int and 0 <= reg < NUM_REGISTERS:
+        return _NAMES[reg]
     validate_register(reg)
     return _SPECIAL_NAMES.get(reg, f"R{reg}")
 
@@ -52,6 +58,8 @@ def validate_register(reg: int) -> int:
     Raises:
         ValueError: if ``reg`` is outside ``0 .. NUM_REGISTERS - 1``.
     """
+    if type(reg) is int and 0 <= reg < NUM_REGISTERS:
+        return reg
     if not isinstance(reg, int) or isinstance(reg, bool):
         raise ValueError(f"register index must be an int, got {reg!r}")
     if not 0 <= reg < NUM_REGISTERS:
@@ -63,6 +71,8 @@ def validate_register(reg: int) -> int:
 
 def is_thumb_register(reg: int) -> bool:
     """Return True if ``reg`` is addressable from the 16-bit Thumb format."""
+    if type(reg) is int and 0 <= reg < NUM_REGISTERS:
+        return reg < NUM_THUMB_REGISTERS
     validate_register(reg)
     return reg < NUM_THUMB_REGISTERS
 

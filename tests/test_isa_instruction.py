@@ -72,6 +72,19 @@ class TestProperties:
         assert instr.uid == -1
         assert instr.with_uid(42).uid == 42
 
+    def test_copies_keep_every_field_and_revalidate(self):
+        instr = Instruction(Opcode.CDP, cdp_cover=3, cond=Cond.EQ,
+                            target=5, uid=8)
+        thumb = instr.with_encoding(Encoding.THUMB16)
+        assert (thumb.cdp_cover, thumb.cond, thumb.target, thumb.uid) \
+            == (3, Cond.EQ, 5, 8)
+        assert thumb.with_uid(9).encoding is Encoding.THUMB16
+        object.__setattr__(instr, "dests", (99,))
+        for copy in (lambda: instr.with_uid(1),
+                     lambda: instr.with_encoding(Encoding.THUMB16)):
+            with pytest.raises(ValueError, match="out of range"):
+                copy()
+
     def test_uid_not_in_equality(self):
         a = Instruction(Opcode.ADD, dests=(0,), srcs=(1,), uid=1)
         b = Instruction(Opcode.ADD, dests=(0,), srcs=(1,), uid=2)

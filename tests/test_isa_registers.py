@@ -53,3 +53,22 @@ class TestThumbRegisters:
         assert regs.all_thumb_registers([0, 5, 10])
         assert not regs.all_thumb_registers([0, 11])
         assert regs.all_thumb_registers([])
+
+
+class TestFastPathFallThrough:
+    """In-range ints take a table fast path; every other input reaches
+    the full checks and raises exactly what ``validate_register`` does."""
+
+    @pytest.mark.parametrize("fn", [regs.register_name,
+                                    regs.validate_register,
+                                    regs.is_thumb_register])
+    @pytest.mark.parametrize("bad", [True, False, 16, -1, "R1", 1.0, None])
+    def test_bad_inputs_raise_the_validation_error(self, fn, bad):
+        with pytest.raises(ValueError) as expected:
+            regs.validate_register(bad)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            fn(bad)
+
+    def test_names_table_matches_every_register(self):
+        names = [regs.register_name(r) for r in range(regs.NUM_REGISTERS)]
+        assert names == [f"R{r}" for r in range(13)] + ["SP", "LR", "PC"]

@@ -298,6 +298,32 @@ class TestMetricsExactlyOnce:
         assert self._counters() == inline
 
 
+class TestStatsLookups:
+    """A cold cell's stats artifact is looked up once: the grid's probe
+    misses, and the cell task then computes without probing again."""
+
+    @pytest.mark.parametrize("executor", ["inline", "pool"])
+    def test_cold_sweep_counts_one_lookup_per_cell(self, executor):
+        from repro.telemetry import metrics
+
+        schemes = ("baseline", "critic")
+        run_apps(APPS, schemes, jobs=2, walk_blocks=WALK,
+                 executor=executor)
+        if executor == "pool" \
+                and "run_apps.parallel" not in telemetry.phase_stats():
+            pytest.skip("process pool unavailable; serial fallback ran")
+        cells = len(APPS) * len(schemes)
+        counters = telemetry.counters()
+        hits = counters.get("cache.hit.stats", 0)
+        misses = counters.get("cache.miss.stats", 0)
+        lookups = sum(
+            value for name, value in metrics.REGISTRY.counters_flat(
+                "repro_cache_requests_total").items()
+            if "kind=stats" in name)
+        assert (hits, misses) == (0, cells)
+        assert hits + misses == lookups == cells
+
+
 class TestCellDeadline:
     def test_wedged_cell_raises_structured_timeout(self, monkeypatch):
         """A cell that stops making wall-clock progress fails loudly

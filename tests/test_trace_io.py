@@ -5,10 +5,14 @@ import io
 import pytest
 
 from repro.trace.trace_io import (
+    COLUMNAR_HEADER,
     HEADER,
     TraceFormatError,
+    decode_artifact,
+    decode_columnar,
     dump_trace,
     dump_trace_to_path,
+    encode_columnar,
     load_trace,
     load_trace_from_path,
 )
@@ -130,3 +134,99 @@ class TestErrors:
         loaded = load_trace(io.StringIO(text))
         assert len(loaded) == 1
         assert loaded.name == "x"
+
+
+# -- the columnar (v2) artifact format ----------------------------------------
+
+
+def _v1_text(trace):
+    buffer = io.StringIO()
+    dump_trace(trace, buffer)
+    return buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def opp16_critic_trace():
+    """A materialized OPP16+CritIC trace: CDP markers and Thumb sizes."""
+    from repro.compiler import PassManager
+    from repro.experiments.runner import app_context
+
+    ctx = app_context("Email", 60)
+    result = PassManager(ctx._passes("opp16_critic")).run(
+        ctx.workload.program)
+    return ctx.workload.trace_for(result.program)
+
+
+@pytest.fixture(params=["baseline", "opp16_critic"])
+def any_trace(request, trace, opp16_critic_trace):
+    return trace if request.param == "baseline" else opp16_critic_trace
+
+
+class TestColumnarRoundTrip:
+    def test_scheme_trace_has_cdp_and_thumb(self, opp16_critic_trace):
+        assert any(e.instr.cdp_cover is not None
+                   for e in opp16_critic_trace)
+        assert any(e.instr.size_bytes == 2 for e in opp16_critic_trace)
+
+    def test_v2_then_v1_is_byte_identical(self, any_trace):
+        text = encode_columnar(any_trace)
+        assert text.startswith(COLUMNAR_HEADER + "\n")
+        assert _v1_text(decode_columnar(text)) == _v1_text(any_trace)
+
+    @pytest.mark.parametrize("app", ["Email", "Music"])
+    def test_v2_is_smaller_than_v1_once_statics_repeat(self, app):
+        """A static record costs about as much as a v1 line, so v2 wins
+        once the walk repeats its statics, as 150-block walks do."""
+        walked = generate(get_profile(app), walk_blocks=150).trace()
+        assert len(encode_columnar(walked)) < len(_v1_text(walked))
+
+    def test_same_uid_shares_one_instruction(self, any_trace):
+        loaded = decode_columnar(encode_columnar(any_trace))
+        by_uid = {}
+        for entry in loaded:
+            assert by_uid.setdefault(entry.uid, entry.instr) is entry.instr
+        assert len(by_uid) < len(loaded)
+
+    def test_loaded_trace_simulates_identically(self, any_trace):
+        import dataclasses
+        from repro.cpu import simulate
+        loaded = decode_columnar(encode_columnar(any_trace))
+        assert dataclasses.asdict(simulate(loaded)) \
+            == dataclasses.asdict(simulate(any_trace))
+
+    def test_window_with_nonzero_seq_round_trips(self, any_trace):
+        window = any_trace.window(37, 500)
+        assert window[0].seq == 37
+        loaded = decode_columnar(encode_columnar(window))
+        assert loaded.name == window.name
+        assert _v1_text(loaded) == _v1_text(window)
+
+    def test_sparse_seq_is_stored_as_a_column(self, trace):
+        from repro.trace.dynamic import Trace
+        sparse = Trace(trace.entries[::3], name="every-third")
+        text = encode_columnar(sparse)
+        assert "\nseq " in text
+        assert _v1_text(decode_columnar(text)) == _v1_text(sparse)
+
+    def test_empty_trace(self):
+        from repro.trace.dynamic import Trace
+        loaded = decode_columnar(encode_columnar(Trace([], name="empty")))
+        assert len(loaded) == 0 and loaded.name == "empty"
+
+    def test_columns_use_the_narrowest_width(self, trace):
+        codes = dict(line.split(" ")[:2]
+                     for line in encode_columnar(trace).splitlines()[2:-1])
+        assert codes["taken"] == "i1"
+        assert codes["static"] == "u2"
+
+    def test_value_too_wide_raises(self, trace):
+        from dataclasses import replace
+        from repro.trace.dynamic import Trace
+        huge = replace(trace[0], pc=1 << 64)
+        with pytest.raises(TraceFormatError, match="64 bits"):
+            encode_columnar(Trace([huge], name="huge"))
+
+    def test_decode_artifact_reads_both_formats(self, trace):
+        v1 = decode_artifact(_v1_text(trace))
+        v2 = decode_artifact(encode_columnar(trace))
+        assert _v1_text(v1) == _v1_text(v2) == _v1_text(trace)
